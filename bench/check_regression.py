@@ -103,6 +103,7 @@ REPORT_ONLY = [
     # gate as percentages (their structural claim gates through the
     # checkpoint_stream_off_barrier_ok boolean above).
     ("dist_pipeline", "throughput_records_per_s.*"),
+    ("dist_pipeline", "repl_bytes_per_user_byte"),
     ("dist_pipeline", "checkpoint_wall_s.*"),
     ("dist_pipeline", "checkpoint_growth.*"),
     ("dist_pipeline", "checkpoint_speedup.*"),

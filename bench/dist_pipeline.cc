@@ -60,6 +60,8 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
 
 constexpr uint32_t kNumNodes = 3;
 constexpr uint32_t kNumVnodes = 16;
+/// Nominal size of every generated record (the "user bytes" of a wave).
+constexpr uint64_t kRecordBytes = 32;
 const char* const kOp = "counter";
 /// Emulated per-batch service latency for the headline ingest phases
 /// (see the phase comment in Run).
@@ -131,12 +133,23 @@ struct PipelineCluster {
       dataflow::Record rec;
       rec.key = key;
       rec.event_time = 1000;
-      rec.size = 32;
+      rec.size = kRecordBytes;
       batch.records.push_back(rec);
       batch.count += 1;
       batch.bytes += rec.size;
     }
     partition.Append(std::move(batch));
+  }
+
+  /// Replication body bytes every node's successor acknowledged so far.
+  uint64_t ReplBytesShipped() {
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < kNumNodes; ++i) {
+      auto stats = driver->NodeStats(i);
+      RHINO_CHECK_OK(stats.status());
+      total += stats->repl_bytes_shipped;
+    }
+    return total;
   }
 
   /// Appends `waves` waves and drains them with ONE pump; returns the
@@ -176,23 +189,35 @@ struct PipelineCluster {
 /// both clusters so it isolates the data plane (the stream's cost shows
 /// up in `throughput_records_per_s.pipelined_repl` and the checkpoint
 /// phase instead).
+/// With `repl_bytes_per_user_byte`, the stream is drained afterwards and
+/// the replication bytes it shipped are divided by the record bytes
+/// ingested — the write-amplification idiom on the network plane.
 double MeasureIngest(lsm::PosixEnv* env, const std::string& parent,
                      const std::string& tag, bool pipelined, bool continuous,
                      uint32_t credit_window, int apply_delay_us, int waves,
-                     uint64_t keys, PumpStats* stats_out = nullptr) {
+                     uint64_t keys, PumpStats* stats_out = nullptr,
+                     double* repl_bytes_per_user_byte = nullptr) {
   PipelineCluster cluster(env, parent, tag, pipelined, continuous,
                           credit_window, apply_delay_us);
   // Best of three passes over the same cluster (fresh offsets each time):
   // single-core scheduler noise swings individual pumps by ~15%, which
   // would poison a regression-gated ratio of two of them.
   double best = 0;
+  uint64_t user_bytes = 0;
   for (int rep = 0; rep < 3; ++rep) {
     PumpStats stats = cluster.IngestWaves(waves, keys);
+    user_bytes += stats.applied * kRecordBytes;
     double tput = static_cast<double>(stats.applied) / stats.wall_s;
     if (tput > best) {
       best = tput;
       if (stats_out != nullptr) *stats_out = stats;
     }
+  }
+  if (repl_bytes_per_user_byte != nullptr) {
+    cluster.WaitReplIdle();
+    *repl_bytes_per_user_byte =
+        static_cast<double>(cluster.ReplBytesShipped()) /
+        static_cast<double>(user_bytes);
   }
   return best;
 }
@@ -261,9 +286,11 @@ void Run(bench::BenchArtifact* artifact) {
   double pipelined_raw = MeasureIngest(
       &env, root, "pipelined_raw", /*pipelined=*/true, /*continuous=*/false,
       /*credit_window=*/16, /*apply_delay_us=*/0, waves, keys);
+  double repl_bytes_per_user_byte = 0;
   double repl_tput = MeasureIngest(
       &env, root, "pipelined_repl", /*pipelined=*/true, /*continuous=*/true,
-      /*credit_window=*/16, kServiceDelayUs, waves, keys);
+      /*credit_window=*/16, kServiceDelayUs, waves, keys, nullptr,
+      &repl_bytes_per_user_byte);
   double speedup = pipelined_tput / blocking_tput;
   table.AddRow({"ingest blocking",
                 std::to_string(blocking_tput) + " rec/s",
@@ -281,12 +308,15 @@ void Run(bench::BenchArtifact* artifact) {
                     std::to_string(pipelined_raw) + " rec/s",
                 "blocking / pipelined, CPU-bound loopback"});
   table.AddRow({"ingest pipelined+repl", std::to_string(repl_tput) + " rec/s",
-                "continuous replication streaming during ingest"});
+                "continuous replication streaming during ingest, " +
+                    std::to_string(repl_bytes_per_user_byte) +
+                    " repl bytes per record byte"});
   artifact->Set("throughput_records_per_s.blocking", blocking_tput);
   artifact->Set("throughput_records_per_s.pipelined", pipelined_tput);
   artifact->Set("throughput_records_per_s.blocking_raw", blocking_raw);
   artifact->Set("throughput_records_per_s.pipelined_raw", pipelined_raw);
   artifact->Set("throughput_records_per_s.pipelined_repl", repl_tput);
+  artifact->Set("repl_bytes_per_user_byte", repl_bytes_per_user_byte);
   artifact->Set("ingest_speedup", speedup);
   artifact->Set("ingest_speedup_2x_ok", speedup >= 2.0 ? 1.0 : 0.0);
   artifact->Set("service_delay_us", kServiceDelayUs);

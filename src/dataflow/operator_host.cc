@@ -225,4 +225,34 @@ Result<std::vector<uint32_t>> OperatorHost::Absorb(
   return absorbed;
 }
 
+Result<std::vector<VnodeDelta>> OperatorHost::CaptureReplicationDelta(
+    const std::vector<uint32_t>& whole, const std::vector<uint32_t>& changed) {
+  if (!tracking_changes_ && !changed.empty()) {
+    return Status::FailedPrecondition(
+        "key deltas requested but the backend does not track changes");
+  }
+  RHINO_ASSIGN_OR_RETURN(auto blobs, backend_->ExtractVnodeBlobs(whole));
+  std::map<uint32_t, std::string> logs;
+  if (tracking_changes_) {
+    std::vector<uint32_t> all = whole;
+    all.insert(all.end(), changed.begin(), changed.end());
+    RHINO_ASSIGN_OR_RETURN(logs, backend_->TakeVnodeChanges(all));
+  }
+  std::vector<VnodeDelta> out;
+  out.reserve(whole.size() + changed.size());
+  auto capture = [&](uint32_t v, bool is_whole, std::string state) {
+    VnodeDelta d;
+    d.vnode = v;
+    d.whole = is_whole;
+    d.state = std::move(state);
+    d.nominal_bytes = backend_->VnodeBytes(v);
+    auto marks = watermarks_.find(v);
+    if (marks != watermarks_.end()) d.watermarks = marks->second;
+    out.push_back(std::move(d));
+  };
+  for (uint32_t v : whole) capture(v, true, std::move(blobs[v]));
+  for (uint32_t v : changed) capture(v, false, std::move(logs[v]));
+  return out;
+}
+
 }  // namespace rhino::dataflow

@@ -43,6 +43,19 @@ struct OperatorImage {
   std::map<uint32_t, std::string> blobs;
 };
 
+/// One vnode captured for the continuous replication stream, together
+/// with its replay watermarks and nominal size at the same instant.
+struct VnodeDelta {
+  uint32_t vnode = 0;
+  /// True: `state` is the vnode's whole blob (ExtractVnodes format).
+  /// False: `state` is the change log (state/change_log.h) of the keys
+  /// written since the vnode's previous capture.
+  bool whole = false;
+  std::string state;
+  uint64_t nominal_bytes = 0;
+  std::map<int, uint64_t> watermarks;
+};
+
 /// Outcome of folding one batch into the host's state.
 struct ApplyResult {
   /// Records folded into state (post-dedup).
@@ -158,6 +171,21 @@ class OperatorHost {
                                        const std::vector<uint32_t>& vnodes,
                                        bool already_durable);
 
+  // ------------------------------------------- continuous replication ----
+
+  /// Turns on key-change tracking in the backend (StateBackend::
+  /// TrackChanges). Returns false when the backend cannot produce key
+  /// deltas; CaptureReplicationDelta then accepts only `whole` vnodes.
+  bool TrackChanges() { return tracking_changes_ = backend_->TrackChanges(); }
+  bool tracks_changes() const { return tracking_changes_; }
+
+  /// Captures `whole` vnodes as full blobs and `changed` vnodes as the
+  /// key changes since their previous capture, each with its watermarks
+  /// and nominal bytes. A whole capture also restarts that vnode's change
+  /// tracking, so the next key delta is relative to this blob.
+  Result<std::vector<VnodeDelta>> CaptureReplicationDelta(
+      const std::vector<uint32_t>& whole, const std::vector<uint32_t>& changed);
+
  private:
   OperatorHost(OperatorSpec spec, std::unique_ptr<state::StateBackend> backend,
                std::unique_ptr<StatefulOperatorCore> core, VnodeFn vnode_of,
@@ -175,6 +203,7 @@ class OperatorHost {
   uint32_t instance_id_ = 0;
   std::set<uint32_t> owned_;
   WatermarkMap watermarks_;
+  bool tracking_changes_ = false;
 };
 
 }  // namespace rhino::dataflow

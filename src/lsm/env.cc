@@ -1,5 +1,8 @@
 #include "lsm/env.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -48,13 +51,15 @@ class MemRandomAccessFile : public RandomAccessFile {
   std::shared_ptr<const std::string> content_;
 };
 
-/// RandomAccessFile over an open stdio stream. The open descriptor keeps
-/// the inode alive after unlink/rename, matching MemRandomAccessFile.
+/// RandomAccessFile over an open descriptor. The open descriptor keeps the
+/// inode alive after unlink/rename, matching MemRandomAccessFile. Reads
+/// are positional (`pread`), so concurrent readers of one handle — a
+/// compaction and a foreground Get of the same table — never share a file
+/// offset.
 class PosixRandomAccessFile : public RandomAccessFile {
  public:
-  PosixRandomAccessFile(std::FILE* file, uint64_t size)
-      : file_(file), size_(size) {}
-  ~PosixRandomAccessFile() override { std::fclose(file_); }
+  PosixRandomAccessFile(int fd, uint64_t size) : fd_(fd), size_(size) {}
+  ~PosixRandomAccessFile() override { ::close(fd_); }
   PosixRandomAccessFile(const PosixRandomAccessFile&) = delete;
   PosixRandomAccessFile& operator=(const PosixRandomAccessFile&) = delete;
 
@@ -63,19 +68,26 @@ class PosixRandomAccessFile : public RandomAccessFile {
     if (offset >= size_) return Status::OK();
     size_t len = std::min<uint64_t>(n, size_ - offset);
     out->resize(len);
-    if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-      return Status::IOError("seek");
+    size_t got = 0;
+    while (got < len) {
+      ssize_t r = ::pread(fd_, out->data() + got, len - got,
+                          static_cast<off_t>(offset + got));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        out->clear();
+        return Status::IOError(std::string("read: ") + std::strerror(errno));
+      }
+      if (r == 0) break;  // file shrank under us: short read
+      got += static_cast<size_t>(r);
     }
-    size_t got = std::fread(out->data(), 1, len, file_);
     out->resize(got);
-    if (got < len && std::ferror(file_)) return Status::IOError("read");
     return Status::OK();
   }
 
   uint64_t Size() const override { return size_; }
 
  private:
-  std::FILE* file_;
+  int fd_;
   uint64_t size_;
 };
 
@@ -340,10 +352,10 @@ Result<std::unique_ptr<RandomAccessFile>> PosixEnv::NewRandomAccessFile(
   std::error_code ec;
   auto size = fs::file_size(path, ec);
   if (ec) return Status::NotFound(path);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return Status::NotFound(path);
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound(path);
   return std::unique_ptr<RandomAccessFile>(
-      std::make_unique<PosixRandomAccessFile>(file, size));
+      std::make_unique<PosixRandomAccessFile>(fd, size));
 }
 
 Result<std::unique_ptr<WritableFile>> PosixEnv::NewWritableFile(

@@ -74,6 +74,7 @@ class MemTable {
   class Iterator {
    public:
     explicit Iterator(const MemTable* table) : node_(table->head_->next[0]) {}
+    explicit Iterator(const Node* node) : node_(node) {}
     bool Valid() const { return node_ != nullptr; }
     void Next() { node_ = node_->next[0]; }
     std::string_view key() const { return node_->key; }
@@ -86,6 +87,11 @@ class MemTable {
   };
 
   Iterator NewIterator() const { return Iterator(this); }
+  /// Iterator positioned at the first entry with key >= `target` (a
+  /// skiplist seek, not a walk from the head).
+  Iterator NewIterator(std::string_view target) const {
+    return Iterator(FindGreaterOrEqual(target, nullptr));
+  }
 
  private:
   Node* NewNode(std::string_view key, int height);

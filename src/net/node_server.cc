@@ -1,6 +1,8 @@
 #include "net/node_server.h"
 
+#include <algorithm>
 #include <chrono>
+#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,6 +32,9 @@ NodeServer::NodeServer(lsm::Env* env, Transport* transport,
       options_(std::move(options)),
       obs_(obs != nullptr ? obs : obs::Observability::Default()) {
   if (options_.continuous_replication && transport_ != nullptr) {
+    std::random_device rd;
+    // Never 0: sync-mode images are held under epoch 0.
+    repl_->epoch = ((static_cast<uint64_t>(rd()) << 32) | rd()) | 1;
     replicating_ = true;
     replicator_ = std::thread([this] { ReplicatorLoop(); });
   }
@@ -118,7 +123,7 @@ Result<std::string> NodeServer::HandleHello(std::string_view body) {
       repl_->error = Status::OK();
     }
     for (const auto& [op, shard] : shards_) {
-      MarkReplDirty(op, shard.host->owned());
+      MarkReplDirty(op, shard.host->owned(), /*whole=*/true);
     }
     repl_->work_cv.notify_all();
   }
@@ -169,13 +174,16 @@ Result<std::string> NodeServer::HandleAddOperator(std::string_view body) {
           [num_vnodes](uint64_t key) { return VnodeForKey(key, num_vnodes); },
           node_id_.load()));
   host->InitOwned(req.owned_vnodes);
+  // Only a node that streams deltas records key changes; anything else
+  // would hold them forever.
+  if (replicating_) host->TrackChanges();
   Shard shard;
   shard.host = std::move(host);
   shards_.emplace(spec.name, std::move(shard));
   // Baseline the stream: even before any traffic, the successor should
   // hold an (empty-state) replica of every owned vnode, so promotion
   // works for a node killed right after setup.
-  MarkReplDirty(spec.name, req.owned_vnodes);
+  MarkReplDirty(spec.name, req.owned_vnodes, /*whole=*/true);
   return std::string();
 }
 
@@ -236,9 +244,9 @@ Status NodeServer::Absorb(const std::string& op, rhino::ReplicaState&& rs,
   // snapshot stopped (the host assigns, never max-merges).
   RHINO_ASSIGN_OR_RETURN(std::vector<uint32_t> absorbed,
                          shard->host->Absorb(image, vnodes, already_durable));
-  // Newly absorbed vnodes are writes this node's OWN successor has not
-  // seen yet.
-  MarkReplDirty(op, absorbed);
+  // Newly absorbed vnodes are state this node's OWN successor has not
+  // seen yet, and no earlier ship of ours is a base for them.
+  MarkReplDirty(op, absorbed, /*whole=*/true);
   return Status::OK();
 }
 
@@ -277,6 +285,10 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
         rep.EncodeTo(&rep_body);
         RHINO_RETURN_NOT_OK(transport_->Call(
             successor_, MessageType::kReplicateState, rep_body, nullptr));
+        {
+          std::lock_guard<std::mutex> rlock(repl_->mu);
+          repl_->bytes_shipped += rep_body.size();
+        }
         reply.replicated = 1;
       }
     }
@@ -352,10 +364,11 @@ Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
     // that was handed to another node (double counting).
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
-      auto dit = repl_->dirty.find(req.op);
-      if (dit != repl_->dirty.end()) {
+      for (auto* pending : {&repl_->dirty, &repl_->whole}) {
+        auto dit = pending->find(req.op);
+        if (dit == pending->end()) continue;
         for (uint32_t vnode : req.vnodes) dit->second.erase(vnode);
-        if (dit->second.empty()) repl_->dirty.erase(dit);
+        if (dit->second.empty()) pending->erase(dit);
       }
       auto& tomb = repl_->dropped[req.op];
       tomb.insert(req.vnodes.begin(), req.vnodes.end());
@@ -368,47 +381,89 @@ Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
 Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(ReplicateStateRequest req,
                          ReplicateStateRequest::Decode(body));
-  RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
-                         rhino::DecodeReplicaState(req.replica));
   if (req.delta == 0) {
     // Full image (sync-mode checkpoint hop): wholesale replace.
-    replicas_[{req.origin_node, req.op}] = std::move(rs);
+    RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
+                           rhino::DecodeReplicaState(req.replica));
+    HeldReplica held;
+    held.latest_seq = rs.latest_checkpoint_id;
+    const auto& marks = rs.latest_descriptor.vnode_watermarks;
+    for (const auto& [vnode, bytes] : rs.latest_descriptor.vnode_bytes) {
+      HeldVnode& hv = held.vnodes[vnode];
+      hv.seq = rs.latest_checkpoint_id;
+      hv.nominal_bytes = bytes;
+      auto mit = marks.find(vnode);
+      if (mit != marks.end()) hv.watermarks = mit->second;
+      auto blob = rs.vnode_blobs.find(vnode);
+      if (blob != rs.vnode_blobs.end()) hv.base = std::move(blob->second);
+    }
+    replicas_[{req.origin_node, req.op}] = std::move(held);
     return std::string();
   }
-  // Streamed delta: merge per vnode. The channel delivers deltas in
-  // stream order, so last-writer-wins per vnode is exactly the origin's
-  // latest snapshot of it.
-  auto& dst = replicas_[{req.origin_node, req.op}];
-  if (rs.latest_checkpoint_id > dst.latest_checkpoint_id) {
-    dst.latest_checkpoint_id = rs.latest_checkpoint_id;
-    dst.latest_descriptor.checkpoint_id = rs.latest_descriptor.checkpoint_id;
-  }
-  dst.latest_descriptor.operator_name = rs.latest_descriptor.operator_name;
-  dst.latest_descriptor.instance_id = rs.latest_descriptor.instance_id;
-  // desc.vnode_bytes names every vnode the delta carries (a blob may be
-  // absent when the vnode's state is empty — then the replica's copy is
-  // cleared, not kept).
-  for (const auto& [vnode, bytes] : rs.latest_descriptor.vnode_bytes) {
-    dst.latest_descriptor.vnode_bytes[vnode] = bytes;
-    auto marks = rs.latest_descriptor.vnode_watermarks.find(vnode);
-    if (marks != rs.latest_descriptor.vnode_watermarks.end()) {
-      dst.latest_descriptor.vnode_watermarks[vnode] = marks->second;
-    } else {
-      dst.latest_descriptor.vnode_watermarks.erase(vnode);
-    }
-    auto blob = rs.vnode_blobs.find(vnode);
-    if (blob != rs.vnode_blobs.end()) {
-      dst.vnode_blobs[vnode] = std::move(blob->second);
-    } else {
-      dst.vnode_blobs.erase(vnode);
+  // One element of the stream. Its tombstones were taken before its ships
+  // were captured, so they apply first: a vnode handed away and back
+  // arrives as a drop followed by a whole ship.
+  HeldReplica& held = replicas_[{req.origin_node, req.op}];
+  held.latest_seq = std::max(held.latest_seq, req.stream_seq);
+  for (uint32_t vnode : req.dropped_vnodes) held.vnodes.erase(vnode);
+  ReplicateStateReply reply;
+  for (VnodeShip& ship : req.vnodes) {
+    const uint32_t vnode = ship.vnode;
+    if (!ApplyShip(req.stream_epoch, req.stream_seq, std::move(ship),
+                   &held)) {
+      reply.rejected_vnodes.push_back(vnode);
     }
   }
-  for (uint32_t vnode : req.dropped_vnodes) {
-    dst.vnode_blobs.erase(vnode);
-    dst.latest_descriptor.vnode_bytes.erase(vnode);
-    dst.latest_descriptor.vnode_watermarks.erase(vnode);
+  std::string out;
+  reply.EncodeTo(&out);
+  return out;
+}
+
+bool NodeServer::ApplyShip(uint64_t epoch, uint64_t seq, VnodeShip&& ship,
+                           HeldReplica* held) {
+  if (ship.whole != 0) {
+    HeldVnode& hv = held->vnodes[ship.vnode];
+    hv.epoch = epoch;
+    hv.seq = seq;
+    hv.nominal_bytes = ship.nominal_bytes;
+    hv.watermarks = std::move(ship.watermarks);
+    hv.base = std::move(ship.state);
+    hv.tail = std::string();
+    return true;
   }
-  return std::string();
+  // A key delta is only meaningful on top of the exact ship it was taken
+  // after. On any other copy (an earlier ship failed or was rejected) it
+  // is refused, and the copy stays as it is: older, but consistent.
+  auto it = held->vnodes.find(ship.vnode);
+  if (it == held->vnodes.end() || it->second.epoch != epoch ||
+      it->second.seq != ship.base_seq) {
+    return false;
+  }
+  HeldVnode& hv = it->second;
+  hv.tail.append(ship.state);
+  hv.seq = seq;
+  hv.nominal_bytes = ship.nominal_bytes;
+  hv.watermarks = std::move(ship.watermarks);
+  // Fold once the tail outgrows the base: the held copy stays within
+  // twice the vnode's blob, and folding costs O(blob) per blob's worth of
+  // deltas.
+  if (hv.tail.size() > hv.base.size() && !FoldHeldVnode(&hv).ok()) {
+    // Unusable base: forget the vnode rather than hold a torn copy; the
+    // rejection makes the origin re-ship it whole.
+    held->vnodes.erase(it);
+    return false;
+  }
+  return true;
+}
+
+Status NodeServer::FoldHeldVnode(HeldVnode* hv) {
+  if (hv->tail.empty()) return Status::OK();
+  RHINO_ASSIGN_OR_RETURN(std::string folded,
+                         state::LsmStateBackend::FoldVnodeBlob(
+                             hv->base, hv->tail, hv->nominal_bytes));
+  hv->base = std::move(folded);
+  hv->tail = std::string();
+  return Status::OK();
 }
 
 Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
@@ -424,7 +479,21 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
                               req.op + " on node " +
                               std::to_string(node_id_.load()));
     }
-    rs = it->second;
+    HeldReplica& held = it->second;
+    rs.latest_checkpoint_id = held.latest_seq;
+    rs.latest_descriptor.checkpoint_id = held.latest_seq;
+    rs.latest_descriptor.operator_name = req.op;
+    rs.latest_descriptor.instance_id = req.origin_node;
+    const std::set<uint32_t> wanted(req.vnodes.begin(), req.vnodes.end());
+    for (auto& [vnode, hv] : held.vnodes) {
+      rs.latest_descriptor.vnode_bytes[vnode] = hv.nominal_bytes;
+      if (!hv.watermarks.empty()) {
+        rs.latest_descriptor.vnode_watermarks[vnode] = hv.watermarks;
+      }
+      if (!wanted.empty() && wanted.count(vnode) == 0) continue;
+      RHINO_RETURN_NOT_OK(FoldHeldVnode(&hv));
+      if (!hv.base.empty()) rs.vnode_blobs[vnode] = hv.base;
+    }
   } else {
     RHINO_ASSIGN_OR_RETURN(
         rs, rhino::ReadCheckpointImage(
@@ -485,6 +554,7 @@ Result<std::string> NodeServer::HandleStats() {
     reply.repl_inflight = repl_->inflight;
     reply.repl_stream_seq = repl_->stream_seq;
     reply.repl_shipped = repl_->shipped;
+    reply.repl_bytes_shipped = repl_->bytes_shipped;
   }
   std::string out;
   reply.EncodeTo(&out);
@@ -493,13 +563,37 @@ Result<std::string> NodeServer::HandleStats() {
 
 void NodeServer::ReplicatorLoop() {
   // The loop holds repl_->mu only for bookkeeping and mu_ only while
-  // snapshotting; the actual ship is an async submit, so writers are
-  // never blocked behind the network.
+  // capturing; the actual ship is an async submit, so writers are never
+  // blocked behind the network.
   auto repl = repl_;
+  // op -> vnode -> stream seq of that vnode's previous ship: the base its
+  // next key delta applies on. Only this thread touches it.
+  std::map<std::string, std::map<uint32_t, uint64_t>> last_ship;
+  // Puts unacknowledged work back on the stream, every vnode as a whole
+  // ship (its changes were taken). Caller holds repl->mu.
+  auto requeue = [repl](const std::string& op,
+                        const std::vector<uint32_t>& vnodes,
+                        const std::vector<uint32_t>& dropped) {
+    if (!vnodes.empty()) {
+      repl->dirty[op].insert(vnodes.begin(), vnodes.end());
+      repl->whole[op].insert(vnodes.begin(), vnodes.end());
+    }
+    if (!dropped.empty()) {
+      repl->dropped[op].insert(dropped.begin(), dropped.end());
+    }
+  };
+  auto take = [](std::map<std::string, std::set<uint32_t>>* pending,
+                 const std::string& op) {
+    std::set<uint32_t> out;
+    auto it = pending->find(op);
+    if (it != pending->end()) {
+      out = std::move(it->second);
+      pending->erase(it);
+    }
+    return out;
+  };
   while (true) {
     std::string op;
-    std::vector<uint32_t> vnodes;
-    std::vector<uint32_t> dropped;
     bool paced = false;
     {
       std::unique_lock<std::mutex> lock(repl->mu);
@@ -511,16 +605,6 @@ void NodeServer::ReplicatorLoop() {
       if (repl->stop) return;
       op = !repl->dirty.empty() ? repl->dirty.begin()->first
                                 : repl->dropped.begin()->first;
-      auto dit = repl->dirty.find(op);
-      if (dit != repl->dirty.end()) {
-        vnodes.assign(dit->second.begin(), dit->second.end());
-        repl->dirty.erase(dit);
-      }
-      auto tit = repl->dropped.find(op);
-      if (tit != repl->dropped.end()) {
-        dropped.assign(tit->second.begin(), tit->second.end());
-        repl->dropped.erase(tit);
-      }
       ++repl->inflight;  // credit spent before the lock drops
       paced = !repl->error.ok();
     }
@@ -534,96 +618,138 @@ void NodeServer::ReplicatorLoop() {
         return;
       }
     }
-    // Snapshot a consistent delta under mu_: each vnode's blob and its
-    // replay watermarks are captured together, so a promoted replica
-    // resumes dedup exactly where its state stopped.
+    // Capture under mu_: the pending vnodes and tombstones are popped and
+    // each vnode's state, watermarks and nominal bytes are read in one
+    // step, so an element's drops and ships reflect one instant of the
+    // shard.
+    std::vector<uint32_t> vnodes;
+    std::vector<uint32_t> dropped;
     ReplicateStateRequest req;
     std::string successor;
     Status failure;
     bool have = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      std::set<uint32_t> whole;
+      {
+        std::lock_guard<std::mutex> rlock(repl->mu);
+        std::set<uint32_t> dirty = take(&repl->dirty, op);
+        vnodes.assign(dirty.begin(), dirty.end());
+        whole = take(&repl->whole, op);
+        std::set<uint32_t> drops = take(&repl->dropped, op);
+        dropped.assign(drops.begin(), drops.end());
+      }
       successor = successor_;
-      if (!successor.empty()) {
-        auto it = shards_.find(op);
-        std::vector<uint32_t> live;
-        if (it != shards_.end()) {
-          for (uint32_t vnode : vnodes) {
-            // A vnode dirtied then handed away ships as a tombstone, not
-            // as state.
-            if (it->second.host->Owns(vnode)) live.push_back(vnode);
+      auto it = shards_.find(op);
+      Shard* shard = it != shards_.end() ? &it->second : nullptr;
+      std::map<uint32_t, uint64_t>& bases = last_ship[op];
+      std::vector<uint32_t> ship_whole;
+      std::vector<uint32_t> ship_delta;
+      if (shard != nullptr) {
+        for (uint32_t vnode : vnodes) {
+          // A vnode dirtied then handed away ships as a tombstone only.
+          if (!shard->host->Owns(vnode)) continue;
+          bool as_whole = !shard->host->tracks_changes() ||
+                          whole.count(vnode) != 0 || bases.count(vnode) == 0;
+          (as_whole ? ship_whole : ship_delta).push_back(vnode);
+        }
+      }
+      if (successor.empty()) {
+        // Nothing to ship to. Forget the recorded changes so they do not
+        // pile up: forming the ring (kHello) re-ships every vnode whole.
+        if (shard != nullptr && shard->host->tracks_changes()) {
+          (void)shard->host->backend()->TakeVnodeChanges(vnodes);
+        }
+      } else if (!ship_whole.empty() || !ship_delta.empty() ||
+                 !dropped.empty()) {
+        uint64_t seq;
+        {
+          std::lock_guard<std::mutex> rlock(repl->mu);
+          seq = ++repl->stream_seq;
+        }
+        std::vector<dataflow::VnodeDelta> captured;
+        if (shard != nullptr) {
+          auto capture =
+              shard->host->CaptureReplicationDelta(ship_whole, ship_delta);
+          if (capture.ok()) {
+            captured = std::move(capture).MoveValue();
+          } else {
+            failure = capture.status();
           }
         }
-        if (!live.empty() || !dropped.empty()) {
-          uint64_t seq;
-          {
-            std::lock_guard<std::mutex> rlock(repl->mu);
-            seq = ++repl->stream_seq;
+        if (failure.ok()) {
+          req.origin_node = node_id_.load();
+          req.op = op;
+          req.delta = 1;
+          req.stream_epoch = repl->epoch;
+          req.stream_seq = seq;
+          req.dropped_vnodes = dropped;
+          req.vnodes.reserve(captured.size());
+          for (dataflow::VnodeDelta& d : captured) {
+            VnodeShip ship;
+            ship.vnode = d.vnode;
+            ship.whole = d.whole ? 1 : 0;
+            ship.base_seq = d.whole ? 0 : bases[d.vnode];
+            ship.nominal_bytes = d.nominal_bytes;
+            ship.watermarks = std::move(d.watermarks);
+            ship.state = std::move(d.state);
+            bases[d.vnode] = seq;
+            req.vnodes.push_back(std::move(ship));
           }
-          rhino::ReplicaState rs;
-          if (!live.empty()) {
-            auto snap = Snapshot(&it->second, live, seq);
-            if (!snap.ok()) {
-              failure = snap.status();
-            } else {
-              rs = std::move(snap).MoveValue();
-            }
-          } else {
-            rs.latest_checkpoint_id = seq;
-            rs.latest_descriptor.checkpoint_id = seq;
-            rs.latest_descriptor.operator_name = op;
-            rs.latest_descriptor.instance_id = node_id_.load();
-          }
-          if (failure.ok()) {
-            req.origin_node = node_id_.load();
-            req.op = op;
-            rhino::EncodeReplicaState(rs, &req.replica);
-            req.stream_seq = seq;
-            req.delta = 1;
-            req.dropped_vnodes = dropped;
-            have = true;
-          }
+          have = true;
         }
       }
     }
     if (!have) {
       // Nothing to ship (no successor, or the vnodes all moved away) or
-      // the snapshot failed. Return the credit; re-mark on failure.
+      // the capture failed. Return the credit; requeue on failure.
       std::lock_guard<std::mutex> lock(repl->mu);
       --repl->inflight;
       if (!failure.ok()) {
         repl->error = failure;
-        repl->dirty[op].insert(vnodes.begin(), vnodes.end());
-        if (!dropped.empty()) {
-          repl->dropped[op].insert(dropped.begin(), dropped.end());
-        }
+        requeue(op, vnodes, dropped);
       }
       repl->work_cv.notify_all();
       repl->barrier_cv.notify_all();
       continue;
     }
+    std::vector<uint32_t> shipped;
+    shipped.reserve(req.vnodes.size());
+    for (const VnodeShip& ship : req.vnodes) shipped.push_back(ship.vnode);
     std::string req_body;
     req.EncodeTo(&req_body);
+    const uint64_t body_bytes = req_body.size();
     // The callback captures only the shared stream block (+ the work it
-    // would have to re-mark): the transport may run it after this
+    // would have to requeue): the transport may run it after this
     // NodeServer is gone.
     Status submitted = transport_->CallAsync(
         successor, MessageType::kReplicateState, std::move(req_body),
-        [repl, op, vnodes, dropped](Status st, std::string /*reply*/) {
+        [repl, requeue, op, shipped, dropped, body_bytes](Status st,
+                                                          std::string reply) {
+          std::vector<uint32_t> rejected;
+          if (st.ok()) {
+            auto decoded = ReplicateStateReply::Decode(reply);
+            if (decoded.ok()) {
+              rejected = std::move(decoded->rejected_vnodes);
+            } else {
+              st = decoded.status();
+            }
+          }
           {
             std::lock_guard<std::mutex> lock(repl->mu);
             --repl->inflight;
             if (st.ok()) {
               ++repl->shipped;
+              repl->bytes_shipped += body_bytes;
               repl->error = Status::OK();
+              // The successor kept an older copy of these: ship them whole.
+              requeue(op, rejected, {});
             } else {
-              // Unacked work goes back on the stream; a waiting barrier
-              // fails fast on the sticky error.
+              // Applied or not, the outcome is unknown: every vnode of the
+              // element re-ships whole, and a waiting barrier fails fast
+              // on the sticky error.
               repl->error = st;
-              repl->dirty[op].insert(vnodes.begin(), vnodes.end());
-              if (!dropped.empty()) {
-                repl->dropped[op].insert(dropped.begin(), dropped.end());
-              }
+              requeue(op, shipped, dropped);
             }
           }
           repl->work_cv.notify_all();
@@ -635,10 +761,7 @@ void NodeServer::ReplicatorLoop() {
         std::lock_guard<std::mutex> lock(repl->mu);
         --repl->inflight;
         repl->error = submitted;
-        repl->dirty[op].insert(vnodes.begin(), vnodes.end());
-        if (!dropped.empty()) {
-          repl->dropped[op].insert(dropped.begin(), dropped.end());
-        }
+        requeue(op, shipped, dropped);
       }
       repl->work_cv.notify_all();
       repl->barrier_cv.notify_all();

@@ -40,13 +40,32 @@
 ///    join, modeled state); records below a vnode's replay watermark are
 ///    deduplicated (exactly-once under replay);
 ///  * **replication** — in continuous mode (the default), every write
-///    marks its vnode dirty and a background replicator streams
-///    per-vnode deltas (state blob + replay watermarks, captured
-///    atomically) to the ring successor as pipelined `kReplicateState`
+///    marks its vnode dirty and a background replicator streams the
+///    increments to the ring successor as pipelined `kReplicateState`
 ///    requests under a small credit window — Rhino's state-centric
 ///    replication as a continuous ordered stream, off the checkpoint
 ///    path. In sync mode (`RHINO_NET_PIPELINE=0`) replication instead
 ///    happens inside `kCheckpoint` as a blocking full-image hop;
+///    - **what a delta carries:** per dirty vnode, captured under `mu_`
+///      in one step, its replay watermarks, its nominal bytes, and a key
+///      delta — the latest put or delete of every key written since the
+///      vnode's previous ship (the backend records them, see
+///      `StateBackend::TrackChanges`) — plus tombstones for vnodes
+///      handed away;
+///    - **when a vnode ships whole:** its first ship after `kAddOperator`
+///      or a ring re-form (`kHello`), after it was absorbed by handover
+///      ingest, promotion or restore, after a ship of it failed or was
+///      rejected, and always for backends that cannot track keys (the
+///      modeled backend's size-only blob);
+///    - **the base-seq rule:** a key delta names the stream seq of that
+///      vnode's previous ship, and the receiver applies it only when its
+///      copy is exactly that ship (same stream epoch, same seq). Otherwise
+///      it keeps its older, consistent copy and reports the vnode
+///      rejected, and the origin re-ships it whole. A held vnode is
+///      therefore always some ship's state plus matching watermarks — never
+///      torn — so promotion stays exactly-once. The receiver keeps a base
+///      blob plus a tail of key deltas per vnode and folds the tail into
+///      the base when it outgrows it, and at promotion;
 ///  * **checkpoint** — `kCheckpoint` snapshots every shard (vnode blobs +
 ///    watermarks) and persists a framed image to the shared checkpoint
 ///    directory (the DFS stand-in). Continuous mode then shrinks the
@@ -62,7 +81,7 @@
 ///
 /// Thread safety: one mutex (`mu_`) serializes all verbs, so every
 /// checkpoint or extraction observes a consistent shard. The replicator
-/// thread takes `mu_` only while building a delta snapshot; stream
+/// thread takes `mu_` only while capturing a delta; stream
 /// bookkeeping lives under the separate `ReplStream::mu` (lock order:
 /// `mu_` before `ReplStream::mu`, never the reverse). `kCheckpoint`
 /// releases `mu_` before waiting on the stream barrier, so the
@@ -147,6 +166,24 @@ class NodeServer {
     uint64_t deduped = 0;
   };
 
+  /// One vnode of a held replica: the blob of a whole ship plus the key
+  /// deltas applied on top of it since (`tail`, one change log), with the
+  /// watermarks and nominal bytes of the latest ship applied.
+  struct HeldVnode {
+    uint64_t epoch = 0;  ///< origin stream epoch of `seq`
+    uint64_t seq = 0;    ///< stream seq of the ship this copy reflects
+    uint64_t nominal_bytes = 0;
+    std::map<int, uint64_t> watermarks;
+    std::string base;
+    std::string tail;
+  };
+
+  /// A peer's state as this node holds it for promotion.
+  struct HeldReplica {
+    uint64_t latest_seq = 0;  ///< highest stream seq / checkpoint id seen
+    std::map<uint32_t, HeldVnode> vnodes;
+  };
+
   /// Bookkeeping of the continuous replication stream, shared between the
   /// verb handlers (which mark vnodes dirty), the replicator thread, the
   /// checkpoint barrier, and the transport completion callbacks. Held by
@@ -157,11 +194,19 @@ class NodeServer {
     std::condition_variable barrier_cv;  ///< checkpoint barrier waiters
     /// op -> vnodes with unshipped writes.
     std::map<std::string, std::set<uint32_t>> dirty;
+    /// op -> dirty vnodes whose next ship must be whole (a subset of
+    /// `dirty`).
+    std::map<std::string, std::set<uint32_t>> whole;
     /// op -> vnodes dropped (handover) but not yet tombstoned downstream.
     std::map<std::string, std::set<uint32_t>> dropped;
     uint64_t stream_seq = 0;  ///< last delta sequence number assigned
     uint64_t shipped = 0;     ///< deltas acked by the successor
+    uint64_t bytes_shipped = 0;  ///< request body bytes of acked deltas
     uint32_t inflight = 0;    ///< deltas submitted, not yet acked
+    /// Names this incarnation of the stream: a key delta applies only on
+    /// a copy shipped by the same epoch, so a restarted origin (whose
+    /// seqs start over) can never match a stale copy by accident.
+    uint64_t epoch = 0;
     /// Last stream failure; sticky until a delta succeeds or kHello
     /// re-forms the ring. A waiting barrier fails fast on it.
     Status error;
@@ -194,23 +239,33 @@ class NodeServer {
   Status Absorb(const std::string& op, rhino::ReplicaState&& rs,
                 const std::vector<uint32_t>& vnodes, bool already_durable);
 
-  /// Marks `vnodes` of `op` dirty on the replication stream. Caller holds
-  /// `mu_`; no-op unless continuous replication is running.
+  /// Marks `vnodes` of `op` dirty on the replication stream (`whole`: the
+  /// next ship of each must be its whole blob). Caller holds `mu_`; no-op
+  /// unless continuous replication is running.
   template <typename Container>
-  void MarkReplDirty(const std::string& op, const Container& vnodes) {
+  void MarkReplDirty(const std::string& op, const Container& vnodes,
+                     bool whole = false) {
     if (!replicating_ || vnodes.empty()) return;
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
-      auto& set = repl_->dirty[op];
-      set.insert(vnodes.begin(), vnodes.end());
+      repl_->dirty[op].insert(vnodes.begin(), vnodes.end());
+      if (whole) repl_->whole[op].insert(vnodes.begin(), vnodes.end());
     }
     repl_->work_cv.notify_all();
   }
 
-  /// Body of the replicator thread: pops one operator's dirty/dropped
-  /// vnodes, snapshots a consistent delta under `mu_`, and streams it to
-  /// the successor under the credit window.
+  /// Body of the replicator thread: picks an operator with stream work,
+  /// captures its dirty vnodes and tombstones under `mu_`, and streams
+  /// them to the successor under the credit window.
   void ReplicatorLoop();
+
+  /// Applies one ship of a continuous kReplicateState to `held`. Returns
+  /// false when a key delta does not fit the held copy (rejected).
+  static bool ApplyShip(uint64_t epoch, uint64_t seq, VnodeShip&& ship,
+                        HeldReplica* held);
+
+  /// Folds `hv`'s tail of key deltas into its base blob.
+  static Status FoldHeldVnode(HeldVnode* hv);
 
   /// Blocks (with `mu_` RELEASED) until the stream has drained — dirty
   /// and dropped empty, nothing in flight — or fails on a sticky stream
@@ -228,10 +283,10 @@ class NodeServer {
   std::mutex mu_;
   std::string successor_;  ///< replication successor endpoint ("" = off)
   std::map<std::string, Shard> shards_;
-  /// Replica catalog: (origin node, op) -> latest chain-replicated image.
-  /// Continuous mode merges per-vnode deltas into it; sync mode replaces
-  /// it wholesale at each checkpoint.
-  std::map<std::pair<uint32_t, std::string>, rhino::ReplicaState> replicas_;
+  /// Replica catalog: (origin node, op) -> held replica. Continuous mode
+  /// applies per-vnode ships to it; sync mode replaces it wholesale at
+  /// each checkpoint.
+  std::map<std::pair<uint32_t, std::string>, HeldReplica> replicas_;
 
   /// True when the replicator thread was started (continuous mode with a
   /// transport); constant after construction.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/serde.h"
+#include "state/change_log.h"
 
 namespace rhino::net {
 
@@ -44,6 +45,8 @@ void PutVnodes(BinaryWriter* w, const std::vector<uint32_t>& vnodes) {
 Status GetVnodes(BinaryReader* r, std::vector<uint32_t>* vnodes) {
   uint64_t n = 0;
   RHINO_RETURN_NOT_OK(r->GetVarint(&n));
+  // Four bytes per vnode: never allocate for a forged count.
+  if (n > r->remaining() / 4) return Status::Corruption("bad vnode count");
   vnodes->clear();
   vnodes->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -455,9 +458,23 @@ void ReplicateStateRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   w.PutU32(origin_node);
   w.PutString(op);
-  w.PutString(replica);
-  w.PutU64(stream_seq);
   w.PutU8(delta);
+  w.PutString(replica);
+  w.PutU64(stream_epoch);
+  w.PutU64(stream_seq);
+  w.PutU32(static_cast<uint32_t>(vnodes.size()));
+  for (const VnodeShip& ship : vnodes) {
+    w.PutU32(ship.vnode);
+    w.PutU8(ship.whole);
+    w.PutU64(ship.base_seq);
+    w.PutU64(ship.nominal_bytes);
+    w.PutU32(static_cast<uint32_t>(ship.watermarks.size()));
+    for (const auto& [source, next] : ship.watermarks) {
+      w.PutI64(source);
+      w.PutU64(next);
+    }
+    w.PutString(ship.state);
+  }
   PutVnodes(&w, dropped_vnodes);
 }
 
@@ -467,12 +484,58 @@ Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
   ReplicateStateRequest req;
   RHINO_RETURN_NOT_OK(r.GetU32(&req.origin_node));
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
-  RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
-  RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
   RHINO_RETURN_NOT_OK(r.GetU8(&req.delta));
+  RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
+  RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_epoch));
+  RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
+  uint32_t num_ships = 0;
+  RHINO_RETURN_NOT_OK(r.GetU32(&num_ships));
+  // Each ship takes at least 26 bytes: never allocate for a forged count.
+  if (num_ships > r.remaining() / 26) {
+    return Status::Corruption("replicate-state request: bad ship count");
+  }
+  req.vnodes.resize(num_ships);
+  for (VnodeShip& ship : req.vnodes) {
+    RHINO_RETURN_NOT_OK(r.GetU32(&ship.vnode));
+    RHINO_RETURN_NOT_OK(r.GetU8(&ship.whole));
+    if (ship.whole > 1) {
+      return Status::Corruption("replicate-state request: bad ship kind");
+    }
+    RHINO_RETURN_NOT_OK(r.GetU64(&ship.base_seq));
+    RHINO_RETURN_NOT_OK(r.GetU64(&ship.nominal_bytes));
+    uint32_t num_marks = 0;
+    RHINO_RETURN_NOT_OK(r.GetU32(&num_marks));
+    for (uint32_t i = 0; i < num_marks; ++i) {
+      int64_t source = 0;
+      uint64_t next = 0;
+      RHINO_RETURN_NOT_OK(r.GetI64(&source));
+      RHINO_RETURN_NOT_OK(r.GetU64(&next));
+      ship.watermarks[static_cast<int>(source)] = next;
+    }
+    RHINO_RETURN_NOT_OK(r.GetString(&ship.state));
+    if (ship.whole == 0) {
+      // A key delta is merged entry by entry later: reject one that does
+      // not parse here, before anything of it is applied.
+      RHINO_RETURN_NOT_OK(state::ValidateChangeLog(ship.state));
+    }
+  }
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.dropped_vnodes));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "replicate-state request"));
   return req;
+}
+
+void ReplicateStateReply::EncodeTo(std::string* out) const {
+  BinaryWriter w(out);
+  PutVnodes(&w, rejected_vnodes);
+}
+
+Result<ReplicateStateReply> ReplicateStateReply::Decode(
+    std::string_view data) {
+  BinaryReader r(data);
+  ReplicateStateReply rep;
+  RHINO_RETURN_NOT_OK(GetVnodes(&r, &rep.rejected_vnodes));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "replicate-state reply"));
+  return rep;
 }
 
 void ReplicaFetchRequest::EncodeTo(std::string* out) const {
@@ -535,6 +598,7 @@ void StatsReply::EncodeTo(std::string* out) const {
   w.PutU64(repl_inflight);
   w.PutU64(repl_stream_seq);
   w.PutU64(repl_shipped);
+  w.PutU64(repl_bytes_shipped);
 }
 
 Result<StatsReply> StatsReply::Decode(std::string_view data) {
@@ -549,6 +613,7 @@ Result<StatsReply> StatsReply::Decode(std::string_view data) {
   RHINO_RETURN_NOT_OK(r.GetU64(&rep.repl_inflight));
   RHINO_RETURN_NOT_OK(r.GetU64(&rep.repl_stream_seq));
   RHINO_RETURN_NOT_OK(r.GetU64(&rep.repl_shipped));
+  RHINO_RETURN_NOT_OK(r.GetU64(&rep.repl_bytes_shipped));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "stats reply"));
   return rep;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,7 +56,10 @@ const char* MessageTypeName(MessageType type);
 /// Version 2 made `kAddOperator` carry a full operator spec (kind +
 /// config + input arity), `kProcessBatch` carry the input side and an
 /// output-collection flag, and widened the batch/query replies.
-constexpr uint8_t kWireVersion = 2;
+/// Version 3 made the continuous `kReplicateState` carry per-vnode ships
+/// (whole blob or key delta on a base seq) and reply with the vnodes it
+/// rejected, and added `repl_bytes_shipped` to the stats reply.
+constexpr uint8_t kWireVersion = 3;
 
 /// Reads the `RHINO_NET_PIPELINE` toggle: `0` reverts the data plane to
 /// the blocking batch-at-a-time pump and synchronous checkpoint-time
@@ -224,28 +228,58 @@ struct VnodeSetRequest {
   static Result<VnodeSetRequest> Decode(std::string_view data);
 };
 
-/// kReplicateState: chain-replicated state from `origin_node` (`replica`
-/// = encoded ReplicaState). The receiver stores it in its replica
-/// catalog; it does NOT touch live state until promoted.
+/// One vnode of a continuous `kReplicateState`, captured atomically with
+/// its replay watermarks and nominal size.
 ///
-/// Two shapes share the verb. `delta == 0` is the legacy full image: the
-/// receiver replaces its whole catalog entry (checkpoint-time sync
-/// replication). `delta == 1` is one element of the continuous stream:
-/// `replica` carries only the vnodes that changed since the last delta
-/// (each with its state blob AND replay watermarks, captured atomically
-/// per vnode), `dropped_vnodes` lists vnodes the origin no longer owns
-/// (handover tombstones), and `stream_seq` orders the stream for
-/// observability. The receiver merges vnode-by-vnode.
+/// `whole == 1`: `state` is the vnode's whole blob and replaces the
+/// receiver's copy. `whole == 0`: `state` is a key delta (change log,
+/// state/change_log.h) of the keys written since the origin's previous
+/// ship of this vnode, whose stream seq is `base_seq`. The receiver
+/// applies it only when its copy is exactly that ship; otherwise it
+/// rejects the vnode and keeps its older, consistent copy.
+struct VnodeShip {
+  uint32_t vnode = 0;
+  uint8_t whole = 0;
+  uint64_t base_seq = 0;
+  uint64_t nominal_bytes = 0;
+  std::map<int, uint64_t> watermarks;
+  std::string state;
+};
+
+/// kReplicateState: chain-replicated state from `origin_node`. The
+/// receiver stores it in its replica catalog; it does NOT touch live
+/// state until promoted.
+///
+/// Two shapes share the verb. `delta == 0` is the full image of sync mode
+/// (`replica` = encoded ReplicaState): the receiver replaces its whole
+/// catalog entry at each checkpoint. `delta == 1` is one element of the
+/// continuous stream: `dropped_vnodes` lists vnodes the origin no longer
+/// owns (handover tombstones, applied first) and `vnodes` the ships of
+/// this element. `stream_epoch` names the origin's stream incarnation
+/// and `stream_seq` this element's position in it; a key delta applies
+/// only on a copy from the same epoch. Decoding rejects a key delta whose
+/// change log does not parse (e.g. an unknown entry kind).
 struct ReplicateStateRequest {
   uint32_t origin_node = 0;
   std::string op;
-  std::string replica;
-  uint64_t stream_seq = 0;
   uint8_t delta = 0;
+  std::string replica;
+  uint64_t stream_epoch = 0;
+  uint64_t stream_seq = 0;
+  std::vector<VnodeShip> vnodes;
   std::vector<uint32_t> dropped_vnodes;
 
   void EncodeTo(std::string* out) const;
   static Result<ReplicateStateRequest> Decode(std::string_view data);
+};
+
+/// Reply to a continuous kReplicateState: the key deltas whose base seq
+/// did not match the receiver's copy. The origin re-ships them whole.
+struct ReplicateStateReply {
+  std::vector<uint32_t> rejected_vnodes;
+
+  void EncodeTo(std::string* out) const;
+  static Result<ReplicateStateReply> Decode(std::string_view data);
 };
 
 /// kPromoteReplica / kRestoreFromCheckpoint: fold `vnodes` of
@@ -296,6 +330,9 @@ struct StatsReply {
   uint64_t repl_inflight = 0;
   uint64_t repl_stream_seq = 0;
   uint64_t repl_shipped = 0;
+  /// `kReplicateState` body bytes the successor acknowledged (stream
+  /// deltas, or sync-mode full images).
+  uint64_t repl_bytes_shipped = 0;
 
   void EncodeTo(std::string* out) const;
   static Result<StatsReply> Decode(std::string_view data);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/serde.h"
+#include "state/change_log.h"
 
 namespace rhino::state {
 
@@ -33,6 +34,7 @@ Status LsmStateBackend::Put(uint32_t vnode, std::string_view key,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(db_->Put(EncodeKey(vnode, key), value));
   vnode_bytes_[vnode] += nominal_bytes;
+  RecordChange(vnode, key, &value);
   return Status::OK();
 }
 
@@ -46,6 +48,7 @@ Status LsmStateBackend::Delete(uint32_t vnode, std::string_view key,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(db_->Delete(EncodeKey(vnode, key)));
   DiscountBytes(vnode, nominal_bytes);
+  RecordChange(vnode, key, nullptr);
   return Status::OK();
 }
 
@@ -53,6 +56,20 @@ void LsmStateBackend::DiscountBytes(uint32_t vnode, uint64_t nominal_bytes) {
   auto it = vnode_bytes_.find(vnode);
   if (it != vnode_bytes_.end()) {
     it->second = nominal_bytes > it->second ? 0 : it->second - nominal_bytes;
+  }
+}
+
+void LsmStateBackend::RecordChange(uint32_t vnode, std::string_view key,
+                                   const std::string_view* value) {
+  if (!tracking_) return;
+  auto& keys = changes_[vnode];
+  std::optional<std::string> latest;
+  if (value != nullptr) latest.emplace(*value);
+  auto it = keys.find(key);
+  if (it == keys.end()) {
+    keys.emplace(std::string(key), std::move(latest));
+  } else {
+    it->second = std::move(latest);
   }
 }
 
@@ -71,8 +88,11 @@ Status LsmStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
   for (const auto& w : writes) {
     if (w.is_delete) {
       DiscountBytes(w.vnode, w.nominal_bytes);
+      RecordChange(w.vnode, w.key, nullptr);
     } else {
       vnode_bytes_[w.vnode] += w.nominal_bytes;
+      std::string_view value = w.value;
+      RecordChange(w.vnode, w.key, &value);
     }
   }
   return Status::OK();
@@ -181,47 +201,6 @@ Result<std::string> LsmStateBackend::ExtractVnodes(
   return blob;
 }
 
-Result<std::map<uint32_t, std::string>> LsmStateBackend::ExtractVnodeBlobs(
-    const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // One streaming pass over the whole store; the big-endian vnode prefix
-  // routes each entry to its blob. Every blob is wire-identical to
-  // ExtractVnodes({v}), whose per-vnode header is fixed-width — so the
-  // entry-count placeholder always sits at the same offset.
-  constexpr size_t kCountOffset = 4 + 4 + 8;  // nvnodes | vnode | nominal
-  std::map<uint32_t, std::string> blobs;
-  std::map<uint32_t, uint64_t> counts;
-  for (uint32_t v : vnodes) {
-    std::string& blob = blobs[v];
-    BinaryWriter w(&blob);
-    w.PutU32(1);
-    w.PutU32(v);
-    w.PutU64(VnodeBytes(v));
-    w.PutU64(0);  // patched below
-    counts[v] = 0;
-  }
-  RHINO_ASSIGN_OR_RETURN(auto it, db_->NewIterator());
-  for (; it.Valid(); it.Next()) {
-    std::string_view key = it.key();
-    if (key.size() < 4) continue;
-    uint32_t v = (static_cast<uint32_t>(static_cast<uint8_t>(key[0])) << 24) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(key[1])) << 16) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(key[2])) << 8) |
-                 static_cast<uint32_t>(static_cast<uint8_t>(key[3]));
-    auto bit = blobs.find(v);
-    if (bit == blobs.end()) continue;  // not a requested vnode
-    BinaryWriter w(&bit->second);
-    w.PutString(key.substr(4));
-    w.PutString(it.value());
-    ++counts[v];
-  }
-  for (auto& [v, blob] : blobs) {
-    uint64_t count = counts[v];
-    std::memcpy(blob.data() + kCountOffset, &count, sizeof(count));
-  }
-  return blobs;
-}
-
 Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   // Entries are replayed through group-committed batches: one WAL append
@@ -249,6 +228,7 @@ Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {
       }
     }
     vnode_bytes_[vnode] += nominal;
+    changes_.erase(vnode);
   }
   return db_->Write(batch);
 }
@@ -272,8 +252,101 @@ Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
     }
     RHINO_RETURN_NOT_OK(db_->Write(batch));
     vnode_bytes_.erase(v);
+    changes_.erase(v);
   }
   return Status::OK();
+}
+
+bool LsmStateBackend::TrackChanges() {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  tracking_ = true;
+  return true;
+}
+
+Result<std::map<uint32_t, std::string>> LsmStateBackend::TakeVnodeChanges(
+    const std::vector<uint32_t>& vnodes) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (!tracking_) return StateBackend::TakeVnodeChanges(vnodes);
+  std::map<uint32_t, std::string> logs;
+  for (uint32_t v : vnodes) {
+    std::string& log = logs[v];
+    auto it = changes_.find(v);
+    if (it == changes_.end()) continue;
+    for (const auto& [key, value] : it->second) {
+      AppendChange(&log, value ? ChangeKind::kPut : ChangeKind::kDelete, key,
+                   value ? std::string_view(*value) : std::string_view());
+    }
+    changes_.erase(it);
+  }
+  return logs;
+}
+
+Result<std::string> LsmStateBackend::FoldVnodeBlob(std::string_view base,
+                                                   std::string_view changes,
+                                                   uint64_t nominal_bytes) {
+  // The latest change per key; the log is small next to the base, and
+  // its views point into `changes`, which outlives the merge.
+  std::map<std::string_view, std::optional<std::string_view>> latest;
+  RHINO_RETURN_NOT_OK(ForEachChange(
+      changes,
+      [&](ChangeKind kind, std::string_view key, std::string_view value) {
+        latest[key] = kind == ChangeKind::kPut
+                          ? std::optional<std::string_view>(value)
+                          : std::nullopt;
+        return Status::OK();
+      }));
+
+  BinaryReader r(base);
+  uint32_t num_vnodes = 0, vnode = 0;
+  uint64_t old_nominal = 0, count = 0;
+  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
+  if (num_vnodes != 1) {
+    return Status::Corruption("fold: base blob holds " +
+                              std::to_string(num_vnodes) + " vnodes, not 1");
+  }
+  RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
+  RHINO_RETURN_NOT_OK(r.GetU64(&old_nominal));
+  RHINO_RETURN_NOT_OK(r.GetU64(&count));
+
+  // Same layout as ExtractVnodes({vnode}); the entry count is patched in
+  // at the end.
+  constexpr size_t kCountOffset = 4 + 4 + 8;  // nvnodes | vnode | nominal
+  std::string out;
+  out.reserve(base.size() + changes.size());
+  BinaryWriter w(&out);
+  w.PutU32(1);
+  w.PutU32(vnode);
+  w.PutU64(nominal_bytes);
+  w.PutU64(0);
+  uint64_t out_count = 0;
+  auto emit = [&](std::string_view key, std::string_view value) {
+    w.PutString(key);
+    w.PutString(value);
+    ++out_count;
+  };
+  // Merge of two key-ordered runs: a change replaces (or, as a delete,
+  // removes) the base entry of its key.
+  auto next = latest.begin();
+  for (uint64_t e = 0; e < count; ++e) {
+    std::string_view key, value;
+    RHINO_RETURN_NOT_OK(r.GetString(&key));
+    RHINO_RETURN_NOT_OK(r.GetString(&value));
+    for (; next != latest.end() && next->first < key; ++next) {
+      if (next->second) emit(next->first, *next->second);
+    }
+    if (next != latest.end() && next->first == key) {
+      if (next->second) emit(key, *next->second);
+      ++next;
+    } else {
+      emit(key, value);
+    }
+  }
+  if (!r.AtEnd()) return Status::Corruption("fold: trailing bytes in base");
+  for (; next != latest.end(); ++next) {
+    if (next->second) emit(next->first, *next->second);
+  }
+  std::memcpy(out.data() + kCountOffset, &out_count, sizeof(out_count));
+  return out;
 }
 
 }  // namespace rhino::state

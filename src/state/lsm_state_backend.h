@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "lsm/db.h"
@@ -52,13 +53,20 @@ class LsmStateBackend : public StateBackend {
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
-  /// All requested blobs out of ONE streaming scan over the store (the
-  /// vnode prefix routes each entry), instead of one full extraction pass
-  /// per vnode.
-  Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
-      const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
+  bool TrackChanges() override;
+  Result<std::map<uint32_t, std::string>> TakeVnodeChanges(
+      const std::vector<uint32_t>& vnodes) override;
+
+  /// Applies the change log `changes` (change_log.h) to `base`, a
+  /// one-vnode blob of ExtractVnodes, and returns the resulting blob with
+  /// `nominal_bytes` in its header. The result is byte-identical to what
+  /// ExtractVnodes({v}) returns on a store holding that state. Cost is
+  /// linear in both inputs (a merge of two sorted runs).
+  static Result<std::string> FoldVnodeBlob(std::string_view base,
+                                           std::string_view changes,
+                                           uint64_t nominal_bytes);
 
   /// The backing DB (exposed for tests).
   lsm::DB* db() { return db_.get(); }
@@ -76,6 +84,11 @@ class LsmStateBackend : public StateBackend {
   /// Subtracts nominal bytes from a vnode's accounting, clamping at zero.
   void DiscountBytes(uint32_t vnode, uint64_t nominal_bytes);
 
+  /// Records a put (`value` non-null) or delete of `key` for
+  /// TakeVnodeChanges. Caller holds `mu_`; no-op unless tracking.
+  void RecordChange(uint32_t vnode, std::string_view key,
+                    const std::string_view* value);
+
   lsm::Env* env_;
   std::string dir_;
   std::string operator_name_;
@@ -89,6 +102,12 @@ class LsmStateBackend : public StateBackend {
   /// protocols budget with.
   std::map<uint32_t, uint64_t> vnode_bytes_;
   std::vector<StateFile> last_checkpoint_files_;
+  /// Set by TrackChanges; until then writes record nothing.
+  bool tracking_ = false;
+  /// vnode -> key -> latest value since the last take (nullopt = deleted).
+  std::map<uint32_t,
+           std::map<std::string, std::optional<std::string>, std::less<>>>
+      changes_;
 };
 
 }  // namespace rhino::state

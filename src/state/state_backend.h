@@ -108,9 +108,8 @@ class StateBackend {
 
   /// Serializes each of `vnodes` into its own blob (each the same wire
   /// format as ExtractVnodes({v})) keyed by vnode id. The default loops
-  /// ExtractVnodes one vnode at a time — one full extraction pass per
-  /// vnode; backends with sorted storage override it to produce every
-  /// blob in a single scan.
+  /// ExtractVnodes one vnode at a time, which for range-scoped storage is
+  /// one seek plus a scan of exactly that vnode's key range.
   virtual Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
       const std::vector<uint32_t>& vnodes) {
     std::map<uint32_t, std::string> blobs;
@@ -131,6 +130,21 @@ class StateBackend {
 
   /// Drops all state of `vnodes` (origin side after a successful handover).
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
+
+  /// Starts recording, per vnode, every key put or deleted from now on,
+  /// for TakeVnodeChanges. Returns false when the backend cannot produce
+  /// key deltas (the default): its vnodes then replicate as whole blobs.
+  /// Off until called, so instances nobody drains hold nothing.
+  virtual bool TrackChanges() { return false; }
+
+  /// Returns and forgets what was recorded for `vnodes` since the last
+  /// take: one change log (change_log.h) per requested vnode, holding the
+  /// latest put or delete of every changed key in key order (empty when
+  /// nothing changed). Ingested and dropped vnodes start over empty.
+  virtual Result<std::map<uint32_t, std::string>> TakeVnodeChanges(
+      const std::vector<uint32_t>& /*vnodes*/) {
+    return Status::NotSupported("backend does not track key changes");
+  }
 };
 
 }  // namespace rhino::state

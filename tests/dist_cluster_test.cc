@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,20 +39,146 @@ constexpr uint32_t kNumVnodes = 16;
 constexpr uint64_t kNumKeys = 40;
 const char* const kOp = "counter";
 
+/// Test-only fault seam on the replication stream: a decorator over the
+/// loopback table that fails exactly one armed `kReplicateState` of one
+/// origin's stream — the first one carrying a key delta — and holds that
+/// failure back until the origin's next element has been delivered, the
+/// way a pipelined channel reports a lost request only after later ones
+/// went out. Every element it forwards is decoded and recorded.
+class ReplFaultTransport : public Transport {
+ public:
+  enum class Fault {
+    kLoseReply,    ///< deliver (the successor applies it), fail the ack
+    kDropRequest,  ///< fail it without delivering
+  };
+
+  /// One forwarded (or dropped) stream element.
+  struct Element {
+    uint64_t seq = 0;
+    std::set<uint32_t> whole;
+    std::map<uint32_t, uint64_t> delta_bases;  ///< vnode -> base seq
+    std::vector<uint32_t> rejected;
+    bool faulted = false;
+  };
+
+  explicit ReplFaultTransport(LoopbackTransport* inner) : inner_(inner) {}
+
+  void Arm(uint32_t origin, Fault fault) {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+    origin_ = origin;
+    fault_ = fault;
+  }
+
+  /// True once the armed element has been failed.
+  bool fired() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_ != nullptr ||
+           std::any_of(elements_.begin(), elements_.end(),
+                       [](const Element& e) { return e.faulted; });
+  }
+
+  /// Elements of the armed origin's stream, in submission order.
+  std::vector<Element> elements() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return elements_;
+  }
+
+  /// Fires a failure still held back (end of test).
+  void ReleaseHeld() {
+    std::function<void()> held;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held = std::move(held_);
+      held_ = nullptr;
+    }
+    if (held) held();
+  }
+
+  Status Call(const std::string& endpoint, MessageType type,
+              std::string_view body, std::string* reply_body) override {
+    return inner_->Call(endpoint, type, body, reply_body);
+  }
+
+  Status CallAsync(const std::string& endpoint, MessageType type,
+                   std::string body, AsyncCallback cb) override {
+    auto req = type == MessageType::kReplicateState
+                   ? ReplicateStateRequest::Decode(body)
+                   : Result<ReplicateStateRequest>(
+                         Status::InvalidArgument("not a stream element"));
+    if (!req.ok()) return Transport::CallAsync(endpoint, type, body, cb);
+    Element element;
+    element.seq = req->stream_seq;
+    for (const VnodeShip& ship : req->vnodes) {
+      if (ship.whole != 0) {
+        element.whole.insert(ship.vnode);
+      } else {
+        element.delta_bases[ship.vnode] = ship.base_seq;
+      }
+    }
+    bool ours = false;
+    bool fault_this = false;
+    Fault fault = Fault::kDropRequest;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ours = req->origin_node == origin_;
+      fault_this = armed_ && ours && !element.delta_bases.empty();
+      if (fault_this) {
+        armed_ = false;
+        fault = fault_;
+        element.faulted = true;
+      }
+    }
+    if (fault_this) {
+      if (fault == Fault::kLoseReply) {
+        std::string lost;
+        (void)inner_->Call(endpoint, type, body, &lost);
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      elements_.push_back(std::move(element));
+      held_ = [cb] { cb(Status::IOError("injected: stream element lost"), ""); };
+      return Status::OK();
+    }
+    std::string reply;
+    Status st = inner_->Call(endpoint, type, body, &reply);
+    if (ours) {
+      auto decoded = ReplicateStateReply::Decode(reply);
+      if (st.ok() && decoded.ok()) element.rejected = decoded->rejected_vnodes;
+      std::lock_guard<std::mutex> lock(mu_);
+      elements_.push_back(std::move(element));
+    }
+    cb(st, std::move(reply));
+    if (ours) ReleaseHeld();
+    return Status::OK();
+  }
+
+ private:
+  LoopbackTransport* inner_;
+  std::mutex mu_;
+  bool armed_ = false;
+  uint32_t origin_ = UINT32_MAX;
+  Fault fault_ = Fault::kDropRequest;
+  std::vector<Element> elements_;
+  std::function<void()> held_;
+};
+
 /// Three nodes + driver wired over loopback.
 struct Cluster {
   lsm::MemEnv env;  // shared: node dirs are disjoint, ckpt dir is common
   LoopbackTransport transport;
+  /// The nodes' replication streams go through this seam when
+  /// `fault_seam` is set; the driver always talks to the loopback table.
+  ReplFaultTransport faults{&transport};
   std::vector<std::unique_ptr<NodeServer>> nodes;
   std::unique_ptr<ClusterDriver> driver;
   broker::Partition partition{0};
 
-  explicit Cluster(uint32_t n = 3) {
+  explicit Cluster(uint32_t n = 3, bool fault_seam = false) {
     std::vector<std::string> endpoints;
     for (uint32_t i = 0; i < n; ++i) {
       std::string endpoint = "node" + std::to_string(i);
       nodes.push_back(std::make_unique<NodeServer>(
-          &env, &transport,
+          &env, fault_seam ? static_cast<Transport*>(&faults) : &transport,
           NodeServerOptions{"/data/n" + std::to_string(i), "/ckpt"}));
       transport.Register(endpoint, nodes.back()->AsHandler());
       endpoints.push_back(endpoint);
@@ -56,6 +187,7 @@ struct Cluster {
   }
 
   ~Cluster() {
+    faults.ReleaseHeld();
     // Stop every replicator before ANY node dies: over loopback a
     // replicator calls straight into its successor's handler, so nodes
     // must not be destroyed while a peer's stream is still running.
@@ -549,6 +681,99 @@ TEST(DistClusterTest, ModeledOperatorRunsDistributedWithRecovery) {
               keys_per_vnode[VnodeForKey(key, kNumVnodes)] * 32 * 3)
         << "key " << key;
   }
+}
+
+/// The stream's failure path at the transport seam: one element of node
+/// 0's stream to node 1 fails (`fault`), while the next element is already
+/// on its way. Whatever happened to the failed element, its vnodes must
+/// re-ship whole, the checkpoint barrier must answer promptly, and
+/// promoting node 0's replica after a kill must be exact.
+void RunStreamFault(ReplFaultTransport::Fault fault) {
+  if (!NetPipelineEnabled()) {
+    GTEST_SKIP() << "continuous replication is off (RHINO_NET_PIPELINE=0)";
+  }
+  Cluster cluster(3, /*fault_seam=*/true);
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  // Baselines shipped and the first wave's deltas acked: from here on,
+  // node 0's writes travel as key deltas.
+  for (uint32_t node = 0; node < 3; ++node) {
+    ASSERT_TRUE(cluster.WaitReplIdle(node));
+  }
+  cluster.faults.Arm(0, fault);
+
+  cluster.AppendWave();  // its delta from node 0 is the one that fails
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  // The next wave's writes must land in a later element than the failed
+  // one, so wait until the replicator has captured and sent it.
+  for (int waited = 0; !cluster.faults.fired() && waited < 5000; waited += 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(cluster.faults.fired());
+  cluster.AppendWave();  // its delta is delivered while the failure is held
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // The barrier either drains (the whole re-ship already went through) or
+  // fails fast on the stream error; it never sits out its timeout.
+  const auto start = std::chrono::steady_clock::now();
+  auto ckpt = cluster.driver->Checkpoint();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  if (!ckpt.ok()) {
+    EXPECT_NE(ckpt.status().ToString().find("replication stream"),
+              std::string::npos)
+        << ckpt.status().ToString();
+  }
+  EXPECT_LT(waited, std::chrono::milliseconds(
+                        NodeServerOptions().barrier_timeout_ms / 4));
+  for (uint32_t node = 0; node < 3; ++node) {
+    ASSERT_TRUE(cluster.WaitReplIdle(node));
+  }
+  auto settled = cluster.driver->Checkpoint();
+  ASSERT_TRUE(settled.ok()) << settled.status().ToString();
+
+  // The failed element, the delta right behind it, and a later whole
+  // re-ship of every vnode the failed element carried.
+  auto elements = cluster.faults.elements();
+  size_t failed = elements.size();
+  for (size_t i = 0; i < elements.size(); ++i) {
+    if (elements[i].faulted) failed = i;
+  }
+  ASSERT_LT(failed + 1, elements.size());
+  const auto& lost = elements[failed];
+  const auto& next = elements[failed + 1];
+  for (const auto& [vnode, base] : lost.delta_bases) {
+    ASSERT_TRUE(next.delta_bases.count(vnode)) << "vnode " << vnode;
+    EXPECT_EQ(next.delta_bases.at(vnode), lost.seq) << "vnode " << vnode;
+    bool rejected = std::count(next.rejected.begin(), next.rejected.end(),
+                               vnode) != 0;
+    // A delta on a base the successor never got is refused; on a base it
+    // did apply (only the ack was lost) it goes through.
+    EXPECT_EQ(rejected, fault == ReplFaultTransport::Fault::kDropRequest)
+        << "vnode " << vnode;
+    bool reshipped_whole = false;
+    for (size_t i = failed + 1; i < elements.size(); ++i) {
+      reshipped_whole |= elements[i].whole.count(vnode) != 0;
+    }
+    EXPECT_TRUE(reshipped_whole) << "vnode " << vnode;
+  }
+
+  cluster.transport.Kill("node0");
+  ASSERT_TRUE(cluster.driver->RecoverNode(0).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  cluster.ExpectAllCounts(3);
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(4);
+}
+
+TEST(DistClusterTest, StreamReshipsWholeWhenAnAppliedDeltaLosesItsAck) {
+  RunStreamFault(ReplFaultTransport::Fault::kLoseReply);
+}
+
+TEST(DistClusterTest, StreamRejectsDeltaOnMissedBaseAndReshipsWhole) {
+  RunStreamFault(ReplFaultTransport::Fault::kDropRequest);
 }
 
 }  // namespace

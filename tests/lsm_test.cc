@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "lsm/arena.h"
@@ -173,6 +176,55 @@ TEST(MemEnvTest, RandomAccessFilePinsContent) {
 TEST(PosixEnvTest, RandomAccessFilePinsContent) {
   CheckRandomAccessFilePinsContent([] { return std::make_unique<PosixEnv>(); },
                                    PosixScratchDir("pin"));
+}
+
+// Several threads reading interleaved ranges through ONE handle must each
+// get exactly the bytes at their own offsets. This is the access pattern of
+// a background compaction and a foreground Get on the same table; a reader
+// that seeks a shared stream offset and then reads lets the threads
+// redirect each other's reads.
+TEST(PosixEnvTest, ConcurrentReadsThroughOneHandleSeeTheirOwnOffsets) {
+  PosixEnv env;
+  const std::string path = PosixScratchDir("pread") + "/f";
+  constexpr size_t kBytes = 1 << 20;
+  auto byte_at = [](uint64_t pos) {
+    return static_cast<char>((pos * 2654435761u) >> 13);
+  };
+  std::string content(kBytes, '\0');
+  for (size_t i = 0; i < kBytes; ++i) content[i] = byte_at(i);
+  ASSERT_TRUE(env.WriteFile(path, content).ok());
+  auto file = env.NewRandomAccessFile(path);
+  ASSERT_TRUE(file.ok());
+  const RandomAccessFile* handle = file->get();
+
+  constexpr int kThreads = 4;
+  constexpr int kReadsPerThread = 3000;
+  constexpr size_t kReadBytes = 4096;
+  std::atomic<uint64_t> bad_bytes{0};
+  std::atomic<uint64_t> failed_reads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::string out;
+      for (int i = 0; i < kReadsPerThread; ++i) {
+        // Thread t reads the t-th slot of every stride: the ranges of the
+        // threads interleave across the whole file.
+        uint64_t slot = static_cast<uint64_t>(i) * kThreads + t;
+        uint64_t offset = (slot * 1031) % (kBytes - kReadBytes);
+        if (!handle->Read(offset, kReadBytes, &out).ok() ||
+            out.size() != kReadBytes) {
+          failed_reads.fetch_add(1);
+          continue;
+        }
+        for (size_t b = 0; b < kReadBytes; ++b) {
+          if (out[b] != byte_at(offset + b)) bad_bytes.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failed_reads.load(), 0u);
+  EXPECT_EQ(bad_bytes.load(), 0u);
 }
 
 // ------------------------------------------------------------ BlockCache --

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/serde.h"
 #include "lsm/env.h"
 #include "lsm/log_format.h"
 #include "net/frame.h"
@@ -15,6 +16,7 @@
 #include "net/wire.h"
 #include "rhino/checkpoint_storage.h"
 #include "rhino/replication_runtime.h"
+#include "state/change_log.h"
 
 /// \file net_test.cc
 /// The networked substrate in isolation: socket error contract, frame
@@ -512,6 +514,7 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   msg.origin_node = 2;
   msg.op = "counter";
   msg.replica = "replica-bytes";
+  msg.stream_epoch = 0xabcdef;
   msg.stream_seq = 99;
   msg.delta = 1;
   msg.dropped_vnodes = {3, 7, 11};
@@ -519,10 +522,129 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   msg.EncodeTo(&encoded);
   auto decoded = ReplicateStateRequest::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->stream_epoch, 0xabcdefu);
   EXPECT_EQ(decoded->stream_seq, 99u);
   EXPECT_EQ(decoded->delta, 1);
+  EXPECT_EQ(decoded->replica, "replica-bytes");
   EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
   FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
+}
+
+/// A stream element with one whole ship and one key delta.
+ReplicateStateRequest MakeDeltaRequest() {
+  ReplicateStateRequest msg;
+  msg.origin_node = 1;
+  msg.op = "counter";
+  msg.delta = 1;
+  msg.stream_epoch = 77;
+  msg.stream_seq = 12;
+  VnodeShip whole;
+  whole.vnode = 4;
+  whole.whole = 1;
+  whole.nominal_bytes = 48;
+  whole.watermarks = {{0, 10}, {3, 2}};
+  whole.state = "whole-blob-bytes";
+  VnodeShip delta;
+  delta.vnode = 9;
+  delta.base_seq = 11;
+  delta.nominal_bytes = 32;
+  delta.watermarks = {{0, 12}};
+  state::AppendChange(&delta.state, state::ChangeKind::kPut, "key-a", "v1");
+  state::AppendChange(&delta.state, state::ChangeKind::kDelete, "key-b", "");
+  msg.vnodes = {whole, delta};
+  msg.dropped_vnodes = {5};
+  return msg;
+}
+
+TEST(WireTest, ReplicateStateDeltaRoundTripAndFuzz) {
+  ReplicateStateRequest msg = MakeDeltaRequest();
+  std::string encoded;
+  msg.EncodeTo(&encoded);
+  auto decoded = ReplicateStateRequest::Decode(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->vnodes.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const VnodeShip& want = msg.vnodes[i];
+    const VnodeShip& got = decoded->vnodes[i];
+    EXPECT_EQ(got.vnode, want.vnode);
+    EXPECT_EQ(got.whole, want.whole);
+    EXPECT_EQ(got.base_seq, want.base_seq);
+    EXPECT_EQ(got.nominal_bytes, want.nominal_bytes);
+    EXPECT_EQ(got.watermarks, want.watermarks);
+    EXPECT_EQ(got.state, want.state);
+  }
+  EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
+
+  // Byte-granular: every strict prefix is an error, and every single-byte
+  // corruption decodes to an error or a well-formed request — never a
+  // crash, an overread, or a huge allocation.
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    EXPECT_FALSE(
+        ReplicateStateRequest::Decode(std::string_view(encoded).substr(0, len))
+            .ok())
+        << "prefix " << len;
+  }
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    for (int mask : {0x01, 0x10, 0x80, 0xff}) {
+      std::string mutated = encoded;
+      mutated[i] = static_cast<char>(mutated[i] ^ mask);
+      auto result = ReplicateStateRequest::Decode(mutated);
+      if (!result.ok()) continue;
+      // Whatever decodes carries only parseable key deltas.
+      for (const VnodeShip& ship : result->vnodes) {
+        if (ship.whole == 0) {
+          EXPECT_TRUE(state::ValidateChangeLog(ship.state).ok());
+        }
+      }
+    }
+  }
+
+  ReplicateStateReply reply;
+  reply.rejected_vnodes = {9, 13};
+  std::string reply_bytes;
+  reply.EncodeTo(&reply_bytes);
+  auto reply_decoded = ReplicateStateReply::Decode(reply_bytes);
+  ASSERT_TRUE(reply_decoded.ok());
+  EXPECT_EQ(reply_decoded->rejected_vnodes, reply.rejected_vnodes);
+  FuzzPrefixes(reply_bytes, ReplicateStateReply::Decode);
+}
+
+TEST(WireTest, KeyDeltaWithUnknownEntryKindIsRejected) {
+  ReplicateStateRequest msg = MakeDeltaRequest();
+  // An entry of kind 2 is neither a put nor a delete.
+  std::string log;
+  state::AppendChange(&log, state::ChangeKind::kPut, "key-a", "v1");
+  log.push_back(static_cast<char>(2));
+  BinaryWriter(&log).PutString("key-c");
+  msg.vnodes[1].state = log;
+  std::string encoded;
+  msg.EncodeTo(&encoded);
+  auto decoded = ReplicateStateRequest::Decode(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(decoded.status().message().find("unknown entry kind"),
+            std::string::npos)
+      << decoded.status().ToString();
+
+  // The same bytes in a whole ship are an opaque blob: only key deltas
+  // are merged entry by entry, so only they are checked.
+  msg.vnodes[1].whole = 1;
+  encoded.clear();
+  msg.EncodeTo(&encoded);
+  EXPECT_TRUE(ReplicateStateRequest::Decode(encoded).ok());
+}
+
+TEST(WireTest, StatsReplyCarriesReplicationBytes) {
+  StatsReply stats;
+  stats.repl_shipped = 4;
+  stats.repl_bytes_shipped = 123456;
+  std::string encoded;
+  stats.EncodeTo(&encoded);
+  auto decoded = StatsReply::Decode(encoded);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->repl_shipped, 4u);
+  EXPECT_EQ(decoded->repl_bytes_shipped, 123456u);
+  FuzzPrefixes(encoded, StatsReply::Decode);
 }
 
 TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
